@@ -19,13 +19,18 @@ import (
 // how future format changes stay loadable.
 const SnapshotFormatVersion = 1
 
-// SessionSnapshot is the crash-safe serialized form of a Session: everything
-// an analyst's explore-select loop has accumulated — the current flow design
-// (the etl JSON wire format), the source binding, the accepted selection
-// history and the last planning result — as one versioned JSON document. A
-// service persists snapshots so sessions survive restarts, and because the
-// record is self-contained it can be shipped to another replica and restored
-// there (the enabling property for routing sessions by ID).
+// SessionSnapshot is the crash-safe serialized form of a Session: the
+// analyst's intent — the current flow design (the etl JSON wire format), the
+// source binding and the accepted selection history — as one versioned JSON
+// document. A service persists snapshots so sessions survive restarts, and
+// because the record is self-contained it can be shipped to another replica
+// and restored there (the enabling property for routing sessions by ID).
+//
+// The last planning result is derived state, not intent: planning is
+// deterministic in (flow, binding, options), so Snapshot leaves it out and a
+// service re-derives it on demand (a plan-cache hit or a re-plan, see
+// PlanKey). Last is still read: snapshots written by earlier builds embed the
+// result there, and RestoreSession restores it eagerly.
 //
 // The planner is deliberately absent: planner options contain interfaces and
 // callbacks that do not serialize. Callers persist their own options spec
@@ -61,9 +66,11 @@ type SelectionSnapshot struct {
 }
 
 // ResultSnapshot serializes a planning Result, including the full evaluated
-// alternative space — not just the frontier — so a restored session can still
+// alternative space — not just the frontier — so a restored result can still
 // integrate any skyline member by index and re-derive every projection
-// (scatter, pattern usage, explanations) byte-identically.
+// (scatter, pattern usage, explanations) byte-identically. It is the wire
+// form of the service's shared plan-cache tier and the Last field of legacy
+// session snapshots.
 type ResultSnapshot struct {
 	Dims         []string              `json:"dims,omitempty"`
 	Stats        StatsSnapshot         `json:"stats"`
@@ -124,7 +131,8 @@ type MeasureSnapshot struct {
 	Detail         []MeasureSnapshot `json:"detail,omitempty"`
 }
 
-// Snapshot captures the session's durable state under the session lock. It
+// Snapshot captures the session's durable state — flow, binding and history,
+// never the last result (see SessionSnapshot) — under the session lock. It
 // is safe to call concurrently with accessors and with an in-flight
 // exploration: the exploration publishes its result only after Snapshot's
 // critical section, so the snapshot is simply taken before or after the run,
@@ -133,7 +141,6 @@ func (s *Session) Snapshot() (*SessionSnapshot, error) {
 	s.mu.Lock()
 	cur := s.current
 	history := append([]SelectionRecord(nil), s.history...)
-	last := s.last
 	s.mu.Unlock()
 
 	// Graphs are immutable once published (patterns apply to clones) and the
@@ -151,20 +158,14 @@ func (s *Session) Snapshot() (*SessionSnapshot, error) {
 	for _, rec := range history {
 		snap.History = append(snap.History, SelectionSnapshot(rec))
 	}
-	if last != nil {
-		rs, err := snapshotResult(last)
-		if err != nil {
-			return nil, err
-		}
-		snap.Last = rs
-	}
 	return snap, nil
 }
 
 // RestoreSession rebuilds a Session from a snapshot. The planner is supplied
 // by the caller (nil uses the default planner) because planner options do not
-// serialize — see SessionSnapshot. Snapshots written by a newer format
-// version are rejected rather than half-loaded.
+// serialize — see SessionSnapshot. A legacy snapshot's embedded Last result
+// is restored eagerly; snapshots written by a newer format version are
+// rejected rather than half-loaded.
 func RestoreSession(planner *Planner, snap *SessionSnapshot) (*Session, error) {
 	if snap == nil {
 		return nil, errors.New("core: RestoreSession: nil snapshot")
@@ -195,7 +196,8 @@ func RestoreSession(planner *Planner, snap *SessionSnapshot) (*Session, error) {
 }
 
 // SnapshotResult serializes one planning Result on its own — the full
-// evaluated space, stats and skyline, exactly as SessionSnapshot embeds it.
+// evaluated space, stats and skyline, exactly as legacy session snapshots
+// embed it in Last.
 // The HTTP service's shared plan-cache tier ships results between replicas
 // in this form: restoring yields a Result that serves responses
 // byte-identical to the original's.

@@ -46,10 +46,27 @@ func TestSnapshotRoundTripFresh(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripFull drives a real explore→select→explore loop and
-// asserts the snapshot is a fixed point: snapshotting the restored session
-// reproduces the original snapshot byte for byte — flow, binding, history and
-// the complete last result (alternatives, reports, skyline, stats).
+// resultJSON renders a result through its snapshot form for byte comparisons.
+func resultJSON(t *testing.T, res *Result) []byte {
+	t.Helper()
+	rs, err := SnapshotResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(rs)
+	if err != nil {
+		t.Fatalf("marshalling result snapshot: %v", err)
+	}
+	return b
+}
+
+// TestSnapshotRoundTripFull drives a real explore→select→explore loop. The
+// snapshot holds intent only (flow, binding, history — no result). A legacy
+// snapshot that embeds the result in Last, built explicitly through
+// SnapshotResult, still restores eagerly: snapshotting the restored session
+// reproduces the intent byte for byte, its result re-serializes to the
+// embedded bytes, and a skyline member can be selected by index. Restoring
+// the intent alone and exploring again reproduces the result byte for byte.
 func TestSnapshotRoundTripFull(t *testing.T) {
 	s := newTestSession(t)
 	if _, err := s.Explore(); err != nil {
@@ -70,11 +87,15 @@ func TestSnapshotRoundTripFull(t *testing.T) {
 	if len(snap.History) != 1 {
 		t.Fatalf("history length %d, want 1", len(snap.History))
 	}
-	if snap.Last == nil || len(snap.Last.Alternatives) != len(res.Alternatives) {
-		t.Fatalf("last result not fully captured: %+v", snap.Last)
+	if snap.Last != nil {
+		t.Fatal("Snapshot embedded the last result; snapshots hold intent only")
 	}
 
-	restored, err := RestoreSession(s.Planner(), snap)
+	legacy := *snap
+	if legacy.Last, err = SnapshotResult(res); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSession(s.Planner(), &legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +113,9 @@ func TestSnapshotRoundTripFull(t *testing.T) {
 	if got == nil || len(got.SkylineIdx) != len(res.SkylineIdx) {
 		t.Fatalf("restored last result skyline %v, want %v", got, res.SkylineIdx)
 	}
+	if a, b := resultJSON(t, res), resultJSON(t, got); !bytes.Equal(a, b) {
+		t.Errorf("legacy result did not round-trip:\n  orig %s\nrestored %s", a, b)
+	}
 	if !reflect.DeepEqual(restored.History(), s.History()) {
 		t.Errorf("history did not round-trip: %+v vs %+v", restored.History(), s.History())
 	}
@@ -105,6 +129,23 @@ func TestSnapshotRoundTripFull(t *testing.T) {
 	}
 	if alt.Label() != res.Alternatives[res.SkylineIdx[0]].Label() {
 		t.Errorf("application labels did not round-trip: %q", alt.Label())
+	}
+
+	// Intent alone: no result until the restored session explores, and the
+	// exploration re-derives the original result byte for byte.
+	fromIntent, err := RestoreSession(s.Planner(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromIntent.LastResult() != nil {
+		t.Fatal("intent snapshot restored with a result")
+	}
+	rederived, err := fromIntent.Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := resultJSON(t, res), resultJSON(t, rederived); !bytes.Equal(a, b) {
+		t.Errorf("Restore → Explore did not reproduce the result:\n  orig %s\nagain %s", a, b)
 	}
 }
 
@@ -160,8 +201,13 @@ func TestRestoreRejectsCorruptResult(t *testing.T) {
 	if _, err := s.Explore(); err != nil {
 		t.Fatal(err)
 	}
+	// A legacy snapshot: the result embedded explicitly, as earlier builds
+	// wrote it.
 	snap, err := s.Snapshot()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Last, err = SnapshotResult(s.LastResult()); err != nil {
 		t.Fatal(err)
 	}
 	snap.Last.SkylineIdx = append(snap.Last.SkylineIdx, len(snap.Last.Alternatives)+7)

@@ -45,11 +45,15 @@ func escapeDOT(s string) string {
 }
 
 // jsonGraph is the JSON wire format of a flow (used by the CLI export and
-// intended for UI consumption).
+// intended for UI consumption). Seq is the fresh-ID counter of a redesigned
+// flow: the IDs later pattern applications mint depend on it, so a flow
+// restored from JSON must resume the count for re-planning it to reproduce
+// the original alternatives byte for byte.
 type jsonGraph struct {
 	Name  string     `json:"name"`
 	Nodes []jsonNode `json:"nodes"`
 	Edges []jsonEdge `json:"edges"`
+	Seq   int        `json:"seq,omitempty"`
 }
 
 type jsonNode struct {
@@ -106,7 +110,7 @@ func (a *Attribute) UnmarshalJSON(b []byte) error {
 
 // MarshalJSON implements json.Marshaler with a stable, UI-friendly format.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	doc := jsonGraph{Name: g.Name}
+	doc := jsonGraph{Name: g.Name, Seq: g.seq}
 	for _, n := range g.Nodes() {
 		jn := jsonNode{
 			ID:          string(n.ID),
@@ -149,6 +153,7 @@ func (g *Graph) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("etl: parsing JSON flow: %w", err)
 	}
 	fresh := New(doc.Name)
+	fresh.seq = max(doc.Seq, 0)
 	for _, jn := range doc.Nodes {
 		kind := ParseOpKind(jn.Kind)
 		if kind == OpUnknown {

@@ -60,6 +60,37 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONRoundTripKeepsFreshIDCounter: a redesigned flow restored from
+// JSON resumes its fresh-ID counter, so the next pattern application mints
+// the same ID it would have minted on the original — the property that lets
+// a restored session re-plan to byte-identical alternatives.
+func TestJSONRoundTripKeepsFreshIDCounter(t *testing.T) {
+	g := diamondFlow(t)
+	gen := NewNode(g.FreshID("gen"), "added", OpFilterNull, g.Node("src").Out)
+	if err := g.InsertOnEdge("src", "split", gen); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g2 Graph
+	if err := json.Unmarshal(b, &g2); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g2.FreshID("dedup"), g.FreshID("dedup"); got != want {
+		t.Errorf("restored flow minted %s, original minted %s", got, want)
+	}
+	// A flow never redesigned carries no counter on the wire.
+	fresh, err := json.Marshal(diamondFlow(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(fresh), `"seq"`) {
+		t.Errorf("pristine flow serialized a counter: %s", fresh)
+	}
+}
+
 func TestJSONUnmarshalErrors(t *testing.T) {
 	cases := map[string]string{
 		"garbage":      `{{{`,

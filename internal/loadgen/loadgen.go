@@ -256,6 +256,7 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 		if status, _, err := g.plan(ctx, id, false); err != nil || status != http.StatusOK {
 			return nil, fmt.Errorf("loadgen: warm-up plan failed (status %d): %v", status, err)
 		}
+		g.pool.add(id)
 		g.pool.markPlanned(id)
 	}
 	// Bracket the measured window (not the warm-up) with /metrics scrapes,
@@ -322,30 +323,43 @@ type generator struct {
 	dropped  int
 }
 
-// run is the open-loop dispatch loop: exponential inter-arrival sleeps at
-// the target rate, one goroutine per admitted arrival.
+// run is the open-loop dispatch loop: Poisson arrivals at the target rate,
+// one goroutine per admitted arrival. Arrivals are scheduled at absolute due
+// times — start plus the cumulative exponential offsets — so the time the
+// loop itself spends (op choice, goroutine spawn, timer slack) never
+// stretches the schedule; a loop that falls behind dispatches the overdue
+// arrivals at once and catches up. The offsets come from their own seeded
+// stream, so the schedule is a pure function of Seed, QPS and Duration.
 func (g *generator) run(ctx context.Context) (*Report, error) {
-	rng := rand.New(rand.NewSource(g.cfg.Seed))
+	schedule := rand.New(rand.NewSource(g.cfg.Seed))
+	ops := rand.New(rand.NewSource(g.cfg.Seed + 1))
 	tokens := make(chan struct{}, g.cfg.MaxInFlight)
 	var wg sync.WaitGroup
+	timer := time.NewTimer(0)
+	defer timer.Stop()
 	start := time.Now()
-	deadline := start.Add(g.cfg.Duration)
+	var offset time.Duration
 
 	for {
-		// Exponential inter-arrival time for a Poisson process at QPS.
-		wait := time.Duration(rng.ExpFloat64() / g.cfg.QPS * float64(time.Second))
-		next := time.Now().Add(wait)
-		if next.After(deadline) {
+		offset += time.Duration(schedule.ExpFloat64() / g.cfg.QPS * float64(time.Second))
+		if offset > g.cfg.Duration {
 			break
 		}
-		select {
-		case <-ctx.Done():
+		due := start.Add(offset)
+		if wait := time.Until(due); wait > 0 {
+			timer.Reset(wait)
+			select {
+			case <-ctx.Done():
+				wg.Wait()
+				return nil, ctx.Err()
+			case <-timer.C:
+			}
+		} else if ctx.Err() != nil {
 			wg.Wait()
 			return nil, ctx.Err()
-		case <-time.After(time.Until(next)):
 		}
 
-		op, id, ok := g.chooseOp(rng)
+		op, id, ok := g.chooseOp(ops)
 		if !ok {
 			continue
 		}
@@ -357,11 +371,11 @@ func (g *generator) run(ctx context.Context) (*Report, error) {
 			continue
 		}
 		wg.Add(1)
-		go func(op Op, id string) {
+		go func(op Op, id string, due time.Time) {
 			defer wg.Done()
 			defer func() { <-tokens }()
-			g.issue(ctx, op, id)
-		}(op, id)
+			g.issue(ctx, op, id, due)
+		}(op, id, due)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -413,11 +427,12 @@ func (g *generator) chooseOp(rng *rand.Rand) (Op, string, bool) {
 	}
 }
 
-// issue performs one operation and records its outcome. Requests carry the
-// run's context so cancelling the run aborts in-flight requests instead of
-// waiting out their server-side completion.
-func (g *generator) issue(ctx context.Context, op Op, id string) {
-	start := time.Now()
+// issue performs one operation and records its outcome. Latency is timed
+// from the arrival's due time, not from dispatch, so a late dispatch counts
+// against the service the way a real client's wait would. Requests carry
+// the run's context so cancelling the run aborts in-flight requests instead
+// of waiting out their server-side completion.
+func (g *generator) issue(ctx context.Context, op Op, id string, due time.Time) {
 	var (
 		status int
 		tid    string
@@ -459,7 +474,7 @@ func (g *generator) issue(ctx context.Context, op Op, id string) {
 			status = http.StatusOK
 		}
 	}
-	g.stats[op].record(time.Since(start), status, tid, err)
+	g.stats[op].record(time.Since(due), status, tid, err)
 }
 
 func (g *generator) create(ctx context.Context) (string, int, string, error) {

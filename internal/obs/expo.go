@@ -18,6 +18,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range r.sortedFamilies() {
 		f.mu.RLock()
 		children := append([]*child(nil), f.order...)
+		plain := f.plain
 		f.mu.RUnlock()
 		if len(children) == 0 {
 			continue
@@ -46,7 +47,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 				cum += h.counts[len(h.bounds)].Load()
 				fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, labelString(f.labels, ch.values, "+Inf"), cum)
-				fmt.Fprintf(bw, "%s_sum%s %s\n", f.name, base, formatFloat(h.Sum().Seconds()))
+				sum := h.Sum().Seconds()
+				if plain {
+					sum = float64(h.sum.Load())
+				}
+				fmt.Fprintf(bw, "%s_sum%s %s\n", f.name, base, formatFloat(sum))
 				fmt.Fprintf(bw, "%s_count%s %d\n", f.name, base, h.Count())
 				// Exemplar comments tie buckets to the slowest trace seen
 				// since the previous scrape. Comment lines are ignored by

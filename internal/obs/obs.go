@@ -116,6 +116,19 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 }
 
+// ObserveValue records one plain observation — a size, a count — on a
+// histogram built by Registry.ValueHistogram, whose bounds and exposed sum
+// are in the observed unit rather than seconds.
+func (h *Histogram) ObserveValue(v int64) {
+	i := 0
+	for i < len(h.bounds) && float64(v) > h.bounds[i] {
+		i++
+	}
+	h.counts[i].Add(1)
+	h.sum.Add(v)
+	h.count.Add(1)
+}
+
 // ObserveEx records one duration and, when traceID is non-empty and this
 // observation is the slowest its bucket has seen this window, remembers
 // the trace ID as the bucket's exemplar. The exemplar path takes a short
@@ -228,6 +241,9 @@ type family struct {
 	typ    string
 	labels []string
 	bounds []float64 // histogram families only
+	// plain marks a ValueHistogram family: its sum is exposed raw, not
+	// converted from nanoseconds to seconds.
+	plain bool
 
 	mu       sync.RWMutex
 	children map[string]*child
@@ -324,6 +340,18 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // DefBuckets.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return r.register(name, help, typeHistogram, nil, bounds).child(nil).h
+}
+
+// ValueHistogram returns the unlabeled histogram with this name for plain
+// values (bytes, counts) rather than durations: bounds are in the observed
+// unit, observations go through ObserveValue, and the exposed sum is the raw
+// total.
+func (r *Registry) ValueHistogram(name, help string, bounds []float64) *Histogram {
+	f := r.register(name, help, typeHistogram, nil, bounds)
+	f.mu.Lock()
+	f.plain = true
+	f.mu.Unlock()
+	return f.child(nil).h
 }
 
 // CounterVec is a counter family with labels.

@@ -84,6 +84,42 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 }
 
+// TestValueHistogram: a plain-value histogram buckets and sums in the
+// observed unit, with no seconds conversion in the exposition.
+func TestValueHistogram(t *testing.T) {
+	r := NewRegistry()
+	h := r.ValueHistogram("poiesis_record_bytes", "record size", []float64{1024, 65536})
+	h.ObserveValue(512)
+	h.ObserveValue(4096)
+	h.ObserveValue(1 << 20)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, s := range samples {
+		got[s.Key()] = s.Value
+	}
+	for key, want := range map[string]float64{
+		`poiesis_record_bytes_bucket{le="1024"}`:  1,
+		`poiesis_record_bytes_bucket{le="65536"}`: 2,
+		`poiesis_record_bytes_bucket{le="+Inf"}`:  3,
+		`poiesis_record_bytes_sum`:                512 + 4096 + 1<<20,
+		`poiesis_record_bytes_count`:              3,
+	} {
+		if got[key] != want {
+			t.Errorf("%s = %v, want %v (all: %v)", key, got[key], want, got)
+		}
+	}
+	if q := h.Quantile(0.5); q <= 1024 || q > 65536 {
+		t.Errorf("median %v outside the (1024, 65536] bucket", q)
+	}
+}
+
 func TestWriteAndParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("poiesis_plans_total", "plans").Add(12)

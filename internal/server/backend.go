@@ -15,9 +15,14 @@ import (
 // SessionRecord is the unit of session persistence: the service-level
 // metadata (identity, liveness, plan count, the creation config document the
 // planner is rebuilt from) wrapped around the core.SessionSnapshot that
-// carries the analyst's actual state. Records are immutable once handed to a
-// backend — every write-through builds a fresh record — which is what lets
-// backends hand them out without copying.
+// carries the analyst's actual state. A record holds intent, not results:
+// the last planning result lives only in the plan cache, and Plan names it
+// so a restored session can re-derive it on first access. Records are
+// immutable once handed to a backend — every write-through builds a fresh
+// record — which is what lets backends hand them out without copying.
+//
+// Records written by earlier builds carry the result itself in
+// Session.Last; they still restore, eagerly, with that result.
 type SessionRecord struct {
 	Version  int                   `json:"version"`
 	ID       string                `json:"id"`
@@ -27,6 +32,19 @@ type SessionRecord struct {
 	Plans    int                   `json:"plans,omitempty"`
 	Config   *config.Document      `json:"config,omitempty"`
 	Session  *core.SessionSnapshot `json:"session"`
+	Plan     *PlanIntent           `json:"plan,omitempty"`
+}
+
+// PlanIntent names a session's last planning result without carrying it:
+// the plan-cache key the result is stored under and, when the plan request
+// brought its own configuration document, that document (nil when the plan
+// used the session's creation config). Planning is deterministic in the
+// key's inputs, so the result can always be re-derived — from the local
+// cache, the key owner's cache, or a re-plan. Absent before the first plan
+// and after a select.
+type PlanIntent struct {
+	Key    string           `json:"key"`
+	Config *config.Document `json:"config,omitempty"`
 }
 
 // ErrRecordNotFound is returned by SessionBackend.Get for unknown IDs.
@@ -65,13 +83,11 @@ type SessionBackend interface {
 // memoryBackend is the in-process SessionBackend: the pre-existing in-memory
 // session map, now behind the backend interface. Records are stored as the
 // pointers Put received — no JSON encoding — because records are immutable
-// by contract. The default configuration therefore pays one core snapshot
-// (graph + report marshaling, proportional to the result size) per
-// state-changing request and no byte copies; that uniform write-through is
-// deliberate, keeping the memory and disk paths behaviourally identical and
-// making a remote backend a drop-in, at a cost amortized against the plan
-// computation that precedes it. Serialization fidelity is covered by the
-// disk backend's parameterized suite, which stores real bytes.
+// by contract. Records hold intent (flow, binding, history, plan key), not
+// results, so a write-through costs the same small record on every backend
+// and this one stays a drop-in for the encoding ones. Serialization fidelity
+// is covered by the disk and SQL backends' parameterized suites, which store
+// real bytes.
 type memoryBackend struct {
 	mu sync.RWMutex
 	m  map[string]*SessionRecord
@@ -150,6 +166,14 @@ func encodeRecord(rec *SessionRecord) ([]byte, error) {
 	return blob, nil
 }
 
+// recordSizer is implemented by the backends that store records as encoded
+// bytes (disk, SQL). New hands them the observer of each encoded record's
+// size, the poiesis_session_record_bytes histogram; like WithLogf, the
+// method returns a view and leaves the receiver untouched.
+type recordSizer interface {
+	withRecordSizes(observe func(bytes int64)) SessionBackend
+}
+
 // decodeRecord parses a stored record, rejecting formats newer than this
 // build understands (a downgraded binary must not half-load future records).
 func decodeRecord(blob []byte) (*SessionRecord, error) {
@@ -168,5 +192,6 @@ func decodeRecord(blob []byte) (*SessionRecord, error) {
 }
 
 // SessionRecordVersion is the current record format; it wraps (and moves in
-// lockstep with) core.SnapshotFormatVersion.
+// lockstep with) core.SnapshotFormatVersion. The Plan field is additive, so
+// intent records and legacy result-carrying records share version 1.
 const SessionRecordVersion = 1

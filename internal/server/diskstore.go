@@ -38,6 +38,10 @@ type DiskBackend struct {
 	// os.Remove.
 	removeFile func(path string) error
 
+	// recordSize observes each encoded record's size; nil skips it. Set on
+	// a view by withRecordSizes.
+	recordSize func(bytes int64)
+
 	// mu is behind a pointer so WithLogf views of one backend share the
 	// same lock (and struct copies stay legal).
 	mu *sync.RWMutex
@@ -60,6 +64,12 @@ func NewDiskBackend(dir string) (*DiskBackend, error) {
 func (b *DiskBackend) WithLogf(logf func(format string, args ...any)) *DiskBackend {
 	nb := *b
 	nb.Logf = logf
+	return &nb
+}
+
+func (b *DiskBackend) withRecordSizes(observe func(bytes int64)) SessionBackend {
+	nb := *b
+	nb.recordSize = observe
 	return &nb
 }
 
@@ -112,6 +122,9 @@ func (b *DiskBackend) Put(rec *SessionRecord) error {
 	blob, err := encodeRecord(rec)
 	if err != nil {
 		return err
+	}
+	if b.recordSize != nil {
+		b.recordSize(int64(len(blob)))
 	}
 	// The read side of b.mu is a gate, not a critical section: concurrent
 	// Puts write distinct files in parallel, while the exclusive side

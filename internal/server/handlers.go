@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"time"
 
-	"poiesis/internal/cluster"
 	"poiesis/internal/config"
 	"poiesis/internal/core"
 	"poiesis/internal/etl"
@@ -405,55 +404,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	key, cacheable := core.PlanKey(st.sess.Current(), st.sess.Binding(), planner.Options())
-	// Partition the cache by registry shape: PlanKey canonicalizes Options
-	// only, so custom-pattern declarations must contribute to the key.
-	key += "|" + regKey
-	run := func() (*core.Result, error) {
-		res, err := st.sess.ExploreWith(ctx, planner)
-		if err != nil {
-			return nil, err
-		}
-		s.plansComputed.Add(1)
-		s.evaluations.Add(int64(res.Stats.Evaluated))
-		return res, nil
-	}
-
-	// Shared cache tier: when another replica owns this plan key, a local
-	// miss first asks the owner (one GET, at most one hop) and a local
-	// evaluation writes its result through to the owner — so cluster-wide,
-	// each fingerprint is evaluated once and then served from caches.
-	compute := run
-	var fetchedFromPeer bool
-	if cacheable && s.cluster != nil {
-		if owner := s.cluster.Owner(cluster.CacheKey(key)); owner != s.cluster.Self() {
-			compute = func() (*core.Result, error) {
-				if res, ok := s.fetchPeerResult(ctx, owner, key); ok {
-					fetchedFromPeer = true
-					return res, nil
-				}
-				res, err := run()
-				if err == nil {
-					s.pushPeerResult(ctx, owner, key, res)
-				}
-				return res, err
-			}
-		}
-	}
-
-	var res *core.Result
-	var hit bool
-	var err error
-	if cacheable {
-		res, hit, err = s.cache.do(ctx, key, compute)
-		// A peer-fetched result was not produced by this session's own
-		// exploration, so it needs the same adoption as a local cache hit.
-		if err == nil && (hit || fetchedFromPeer) {
-			s.plansCached.Add(1)
-			err = st.sess.AdoptResult(res)
-		}
-	} else {
-		res, err = run()
+	cur, bind := st.sess.Current(), st.sess.Binding()
+	key, cacheable := planCacheKey(cur, bind, planner.Options(), regKey)
+	res, src, err := s.planResult(ctx, key, cacheable, func() (*core.Result, error) {
+		return planner.PlanContext(ctx, cur, bind)
+	})
+	if err == nil {
+		err = st.planDone(s.cfg.Now(), res, &PlanIntent{Key: key, Config: req.Config})
 	}
 	if err != nil {
 		st.recordTrace(planTrace{
@@ -465,11 +422,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.planError(w, stream, ctx, err)
 		return
 	}
-	hit = hit || fetchedFromPeer
+	hit := src != sourcePlan
+	if hit {
+		s.plansCached.Add(1)
+	}
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		sp.SetBool("plan.cacheable", cacheable)
 		sp.SetBool("plan.cached", hit)
-		sp.SetBool("plan.peer_fetch", fetchedFromPeer)
+		sp.SetBool("plan.peer_fetch", src == sourcePeer)
 		sp.SetInt("plan.evaluated", int64(res.Stats.Evaluated))
 		sp.SetInt("plan.skyline", int64(len(res.SkylineIdx)))
 	}
@@ -489,8 +449,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Skyline:   len(res.SkylineIdx),
 		Stages:    res.Stages,
 	})
-	st.planDone(s.cfg.Now())
-	// Write the new state (result, plan count, liveness) through to the
+	// Write the new state (plan intent, plan count, liveness) through to the
 	// backend while opMu still excludes deletion and eviction. A failed
 	// write degrades durability only — it is counted, logged, and the
 	// response still serves the in-memory result.
@@ -553,13 +512,29 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res := st.sess.LastResult()
+	res, ok := s.sessionResult(w, r, st)
+	if !ok {
+		return
+	}
 	if res == nil {
 		writeError(w, http.StatusNotFound, "no planning result; POST /v1/sessions/%s/plan first", st.id)
 		return
 	}
 	includeReports := r.URL.Query().Get("reports") == "1"
 	writeJSON(w, http.StatusOK, toResultJSON(res, includeReports))
+}
+
+// sessionResult resolves the session's result for a read, re-deriving a
+// restored session's pending result first. On a failed derivation it
+// writes the error response and reports false; a nil result means the
+// session has not planned.
+func (s *Server) sessionResult(w http.ResponseWriter, r *http.Request, st *sessionState) (*core.Result, bool) {
+	res, err := s.resolveResult(r.Context(), st)
+	if err != nil {
+		s.planError(w, nil, r.Context(), err)
+		return nil, false
+	}
+	return res, true
 }
 
 // handleTrace serves the session's recent plan-run timeline: one entry per
@@ -592,7 +567,10 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res := st.sess.LastResult()
+	res, ok := s.sessionResult(w, r, st)
+	if !ok {
+		return
+	}
 	if res == nil {
 		writeError(w, http.StatusNotFound, "no planning result; POST /v1/sessions/%s/plan first", st.id)
 		return
@@ -666,6 +644,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	defer st.opMu.Unlock()
 
+	// A restored session selects from its re-derived result.
+	if _, ok := s.sessionResult(w, r, st); !ok {
+		return
+	}
 	before := st.sess.Current()
 	alt, err := st.sess.Select(req.Index)
 	if err != nil {
@@ -676,7 +658,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	st.touch(s.cfg.Now())
+	st.selected(s.cfg.Now())
 	// Integrating a selection rewrites the current design and history: write
 	// it through under opMu, same contract as the plan path.
 	_ = s.store.persist(r.Context(), st)

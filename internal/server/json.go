@@ -389,7 +389,7 @@ func toSessionJSON(st *sessionState, includeHistory bool) sessionJSON {
 		Created:   st.created.UTC().Format("2006-01-02T15:04:05Z"),
 		LastUsed:  lastUsed.UTC().Format("2006-01-02T15:04:05Z"),
 		Plans:     plans,
-		HasResult: st.sess.LastResult() != nil,
+		HasResult: st.hasResult(),
 	}
 	history := st.sess.History()
 	out.Iterations = len(history)

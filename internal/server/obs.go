@@ -19,6 +19,11 @@ type serverMetrics struct {
 	stageSpans   *obs.HistogramVec // planner stage, one observation per plan run
 	peerOps      *obs.HistogramVec // peer, op
 	peerErrs     *obs.CounterVec   // peer, op
+	// recordBytes is fed by the encoding backends (disk, SQL) through
+	// recordSizer; rederive counts restored plan intents re-derived into
+	// live results, indexed by the resultSource that answered.
+	recordBytes *obs.Histogram
+	rederive    [numResultSources]*obs.Counter
 
 	// Mirrors of counters that live elsewhere (server atomics, plan cache,
 	// session store): synced by syncMetrics at scrape time instead of
@@ -83,6 +88,15 @@ func newServerMetrics() *serverMetrics {
 			"Backend deletes completed by the eviction worker."),
 		evictDropped: reg.Counter("poiesis_session_evict_dropped_total",
 			"Evictions dropped because the eviction queue was full."),
+	}
+	m.recordBytes = reg.ValueHistogram("poiesis_session_record_bytes",
+		"Encoded size of session records written by the disk and SQL backends.",
+		[]float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20})
+	rederive := reg.CounterVec("poiesis_session_rederive_total",
+		"Restored sessions whose last result was re-derived from its plan intent, by the tier that answered.",
+		"source")
+	for src := range m.rederive {
+		m.rederive[src] = rederive.With(resultSource(src).String())
 	}
 	version, revision := obs.BuildInfo()
 	reg.GaugeVec("poiesis_build_info",

@@ -14,7 +14,10 @@
 //	                session record through to a pluggable SessionBackend
 //	                (in-memory by default, crash-safe disk snapshots via
 //	                NewDiskBackend) and startup restores the backend's
-//	                records, so sessions survive restarts;
+//	                records, so sessions survive restarts; records hold
+//	                intent (flow, binding, history, the last plan's key),
+//	                and a restored session re-derives its result from the
+//	                plan cache, a peer's cache or a re-plan on first access;
 //	plan cache    — fingerprint-keyed (flow fingerprint + canonicalized
 //	                options + binding, see core.PlanKey): identical plans
 //	                across sessions are served from cache instead of
@@ -213,6 +216,9 @@ func New(cfg Config) *Server {
 	metrics := newServerMetrics()
 	// Every backend op — including the restore List/Sweep below and the
 	// eviction worker's deletes — flows through the metrics decorator.
+	if rs, ok := cfg.Backend.(recordSizer); ok {
+		cfg.Backend = rs.withRecordSizes(metrics.recordBytes.ObserveValue)
+	}
 	cfg.Backend = newObsBackend(cfg.Backend, metrics.reg)
 	ttl := cfg.SessionTTL
 	if ttl < 0 {
@@ -334,6 +340,9 @@ func (s *Server) restoreSessions(ttl time.Duration) {
 }
 
 // restoreState rebuilds a live sessionState from its persisted record.
+// Restore is lazy: an intent record's result is not derived here but on the
+// session's first result access (Server.resolveResult). A legacy record
+// that embeds its result restores with it, eagerly.
 func restoreState(rec *SessionRecord) (*sessionState, error) {
 	if rec.ID == "" || rec.Session == nil {
 		return nil, errNoSessionSnapshot
@@ -353,9 +362,12 @@ func restoreState(rec *SessionRecord) (*sessionState, error) {
 		sess:    sess,
 		cfgDoc:  rec.Config,
 		regKey:  registryKeyFromDoc(rec.Config),
+		plans:   rec.Plans,
 	}
 	st.touch(rec.LastUsed)
-	st.plans = rec.Plans
+	if rec.Plan != nil && sess.LastResult() == nil {
+		st.plan, st.pending = rec.Plan, true
+	}
 	return st, nil
 }
 

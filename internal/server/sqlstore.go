@@ -33,13 +33,25 @@ type SQLBackend struct {
 	// default. server.New derives a logging view via WithLogf instead of
 	// writing here.
 	Logf func(format string, args ...any)
+
+	// recordSize observes each encoded record's size; nil skips it. Set on
+	// a view by withRecordSizes.
+	recordSize func(bytes int64)
 }
 
 // WithLogf returns a view of the same backend — shared connection pool —
 // whose warnings go to logf. The receiver is not modified, so a backend
 // shared between two servers never races on Logf.
 func (b *SQLBackend) WithLogf(logf func(format string, args ...any)) *SQLBackend {
-	return &SQLBackend{db: b.db, Logf: logf}
+	nb := *b
+	nb.Logf = logf
+	return &nb
+}
+
+func (b *SQLBackend) withRecordSizes(observe func(bytes int64)) SessionBackend {
+	nb := *b
+	nb.recordSize = observe
+	return &nb
 }
 
 const sqlSessionsSchema = `CREATE TABLE IF NOT EXISTS poiesis_sessions (` +
@@ -89,6 +101,9 @@ func (b *SQLBackend) Put(rec *SessionRecord) error {
 	blob, err := encodeRecord(rec)
 	if err != nil {
 		return err
+	}
+	if b.recordSize != nil {
+		b.recordSize(int64(len(blob)))
 	}
 	_, err = b.db.Exec(`INSERT OR REPLACE INTO poiesis_sessions (id, version, last_used, record) VALUES (?, ?, ?, ?)`,
 		rec.ID, int64(SessionRecordVersion), rec.LastUsed.UnixNano(), blob)

@@ -36,8 +36,7 @@ type sessionState struct {
 
 	// opMu serializes state-changing HTTP operations (plan, select) on this
 	// session at the handler layer: plan holds it for the whole run, and a
-	// concurrent plan/select fails fast with 409 instead of queueing. The
-	// core.Session's own guard remains as the library-level backstop.
+	// concurrent plan/select fails fast with 409 instead of queueing.
 	opMu sync.Mutex
 
 	// lastUsedNanos is the liveness timestamp as Unix nanoseconds. It is
@@ -46,9 +45,20 @@ type sessionState struct {
 	// those acquisitions dominated every sweep.
 	lastUsedNanos atomic.Int64
 
-	// mu guards the mutable metadata below.
+	// mu guards the mutable metadata below. Lock order is mu → the
+	// core.Session's own lock: results are installed under mu so the plan
+	// intent and the live result change together.
 	mu    sync.Mutex
 	plans int
+	// plan is the intent of the session's last planning result, persisted
+	// in place of the result; nil before the first plan and after a select.
+	plan *PlanIntent
+	// pending marks a restored session whose plan intent has not been
+	// re-derived into a live result yet (see Server.resolveResult);
+	// deriving is non-nil while the one derivation per session runs, and
+	// is closed when it ends.
+	pending  bool
+	deriving chan struct{}
 
 	// traces is a ring of the most recent plan runs served for this session
 	// (newest last), the /v1/sessions/{id}/trace timeline. Runtime-only: it
@@ -111,34 +121,63 @@ func (st *sessionState) meta() (lastUsed time.Time, plans int) {
 	return st.lastUsed(), p
 }
 
-// planDone records a completed plan and refreshes liveness: a long run must
-// not leave lastUsed pointing at the request's start, or the session would
-// look idle for the whole run's duration.
-func (st *sessionState) planDone(now time.Time) {
+// hasResult reports whether the session has a result, live or pending
+// re-derivation — without deriving it.
+func (st *sessionState) hasResult() bool {
 	st.mu.Lock()
-	st.plans++
+	pending := st.pending
+	st.mu.Unlock()
+	return pending || st.sess.LastResult() != nil
+}
+
+// planDone installs a completed plan's result and intent and refreshes
+// liveness: a long run must not leave lastUsed pointing at the request's
+// start, or the session would look idle for the whole run's duration.
+func (st *sessionState) planDone(now time.Time, res *core.Result, intent *PlanIntent) error {
+	st.mu.Lock()
+	err := st.sess.AdoptResult(res)
+	if err == nil {
+		st.plans++
+		st.plan, st.pending = intent, false
+	}
+	st.mu.Unlock()
+	if err == nil {
+		st.touch(now)
+	}
+	return err
+}
+
+// selected clears the plan intent after a select integrated a skyline
+// design, as core.Session.Select clears its last result.
+func (st *sessionState) selected(now time.Time) {
+	st.mu.Lock()
+	st.plan, st.pending = nil, false
 	st.mu.Unlock()
 	st.touch(now)
 }
 
-// record builds the persistence record of the session's current state.
-// Callers hold st.opMu (or own the state exclusively, as add does), so the
-// underlying core.Session cannot be mid-mutation.
+// record builds the persistence record of the session's current state: its
+// intent, never its result. Callers hold st.opMu (or own the state
+// exclusively, as add does), so the underlying core.Session cannot be
+// mid-mutation.
 func (st *sessionState) record() (*SessionRecord, error) {
 	snap, err := st.sess.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	lastUsed, plans := st.meta()
+	st.mu.Lock()
+	plans, plan := st.plans, st.plan
+	st.mu.Unlock()
 	return &SessionRecord{
 		Version:  SessionRecordVersion,
 		ID:       st.id,
 		Name:     st.name,
 		Created:  st.created,
-		LastUsed: lastUsed,
+		LastUsed: st.lastUsed(),
 		Plans:    plans,
 		Config:   st.cfgDoc,
 		Session:  snap,
+		Plan:     plan,
 	}, nil
 }
 
@@ -475,11 +514,14 @@ func (s *sessionStore) remove(ctx context.Context, id string) bool {
 // durability, not availability: the error is counted and logged, and the
 // in-memory session keeps serving.
 func (s *sessionStore) persist(ctx context.Context, st *sessionState) error {
+	ctx, span := obs.StartSpan(ctx, "session.persist")
+	defer span.End()
 	rec, err := st.record()
 	if err == nil {
 		err = s.backendPut(ctx, rec)
 	}
 	if err != nil {
+		span.Fail(err)
 		s.persistErrs.Add(1)
 		withCtx(s.log, ctx).Warn("server: persisting session to backend failed",
 			"session", st.id, "backend", s.backend.Name(), "err", err)

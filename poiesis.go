@@ -228,17 +228,24 @@ func BuildInfo() (version, revision string) { return obs.BuildInfo() }
 type SessionBackend = server.SessionBackend
 
 // SessionRecord is the unit of session persistence: service metadata plus
-// the core SessionSnapshot.
+// the core SessionSnapshot and, after a plan, the plan's intent (its
+// plan-cache key and per-request config document). Records hold intent, not
+// results: a restored session re-derives its last result on first access.
 type SessionRecord = server.SessionRecord
 
 // SessionSnapshot is the versioned, self-contained serialized form of a
-// Session (current flow, binding, selection history, last result). Produce
-// one with Session.Snapshot and rebuild with RestoreSession.
+// Session's intent: current flow, binding and selection history. The last
+// planning result is not embedded — planning is deterministic, so re-running
+// Explore on the restored session (or a plan-cache hit under PlanCacheKey)
+// reproduces it byte for byte. Produce one with Session.Snapshot and rebuild
+// with RestoreSession.
 type SessionSnapshot = core.SessionSnapshot
 
 // RestoreSession rebuilds a Session from a snapshot; the planner is supplied
 // by the caller (nil uses the default) because planner options do not
-// serialize.
+// serialize. The restored session has no last result until it explores,
+// except for snapshots written by earlier builds, which embed the result in
+// Last and restore it eagerly.
 func RestoreSession(p *Planner, snap *SessionSnapshot) (*Session, error) {
 	return core.RestoreSession(p, snap)
 }
